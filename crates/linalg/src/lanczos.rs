@@ -10,9 +10,22 @@
 //!   kernel `exp(-tL)·v` — via the standard Krylov projection
 //!   `f(A)v ≈ ‖v‖ · V_k f(T_k) e₁` (see [`crate::expm`]).
 //!
-//! Full reorthogonalization is used: the graphs in this reproduction are
-//! at most millions of edges and the Krylov dimensions are small (≤ a few
-//! hundred), so robustness is worth the `O(n k²)` cost.
+//! Full reorthogonalization is used: robustness is worth its `O(n k²)`
+//! cost. That cost is not small: the Fiedler escalation reaches Krylov
+//! dimensions of several hundred on graphs of a few thousand nodes,
+//! where the two Gram–Schmidt passes — each a dot sweep and a
+//! subtraction sweep over the whole basis — dominate the run. Both
+//! sweeps are blocked (eight directions per dot sweep, cache-sized
+//! element blocks per subtraction) without reordering any floating-point
+//! operation, so every result is bit-identical to the one-direction-at-a-
+//! time loop at any thread count.
+//!
+//! **Resuming.** Steps `0..k` of a `k₁`-step run perform exactly the
+//! arithmetic of a `k`-step run, so a [`LanczosResult`] privately keeps
+//! its last reorthogonalized residual and can be extended to `k₁` steps,
+//! bit-identically to a fresh `k₁`-step run. [`smallest_eigenpair_adaptive`]
+//! grows its Krylov dimension this way instead of restarting from
+//! scratch, and lifts only the Ritz vector it returns.
 
 use crate::tridiag::tridiag_eig;
 use crate::vector;
@@ -28,6 +41,35 @@ use acir_runtime::{
 /// to amortize worker spawn cost.
 const PAR_MIN_REORTH: usize = 1 << 15;
 
+/// Directions whose dot products with `w` one sweep accumulates
+/// together. A single dot is a chain of dependent adds, bound by their
+/// latency; eight independent chains keep the adder busy and read `w`
+/// once per eight directions.
+const DOT_BLOCK: usize = 8;
+
+/// Elements of `w` (2 KiB) that the subtraction updates against every
+/// direction before moving on, so the block stays in L1 while the
+/// directions stream past it.
+const SUB_BLOCK: usize = 256;
+
+/// Seed of the start vector shared by the eigenpair drivers.
+const START_SEED: u64 = 0x9e3779b97f4a7c15;
+
+/// Deterministic pseudo-random start vector, uniform in `[-0.5, 0.5)`:
+/// a fixed LCG stream from `seed` keeps the library dependency-free and
+/// every result reproducible.
+fn lcg_start(n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        })
+        .collect()
+}
+
 /// Full reorthogonalization sweep ("twice is enough"): two classical
 /// Gram–Schmidt passes projecting `w` against the deflation directions
 /// and the entire Lanczos basis. The deflated directions are re-projected
@@ -37,10 +79,14 @@ const PAR_MIN_REORTH: usize = 1 << 15;
 ///
 /// Within a pass every projection coefficient is computed against the
 /// *same* iterate (classical, not modified, Gram–Schmidt), so the dot
-/// products are independent and evaluated on the [`ExecPool`]. Each dot
-/// is internally sequential and the subtractions are applied in fixed
-/// direction order, so the result is bit-identical at any thread count;
-/// the second pass mops up the rounding the first leaves behind.
+/// products are independent: one parallel region computes them eight
+/// directions per task. A second region then subtracts the projections
+/// one element block per task, applying the directions to each element
+/// in fixed order. Each dot is accumulated left to right and each
+/// element sees one rounded update per direction in direction order —
+/// the arithmetic of `dot` then `axpy` per direction — so the result is
+/// bit-identical at any thread count; the second pass mops up the
+/// rounding the first leaves behind.
 fn reorthogonalize(w: &mut [f64], deflate: &[Vec<f64>], basis: &[Vec<f64>]) {
     let dirs: Vec<&[f64]> = deflate
         .iter()
@@ -53,10 +99,75 @@ fn reorthogonalize(w: &mut [f64], deflate: &[Vec<f64>], basis: &[Vec<f64>]) {
     } else {
         ExecPool::from_env()
     };
+    reorthogonalize_on(&pool, w, &dirs);
+}
+
+/// The two passes of [`reorthogonalize`] on an explicit pool.
+fn reorthogonalize_on(pool: &ExecPool, w: &mut [f64], dirs: &[&[f64]]) {
+    let groups: Vec<&[&[f64]]> = dirs.chunks(DOT_BLOCK).collect();
     for _ in 0..2 {
-        let coeffs = pool.par_map(&dirs, 1, |u| vector::dot(w, u));
-        for (u, c) in dirs.iter().zip(&coeffs) {
-            vector::axpy(-c, u, w);
+        let iterate: &[f64] = w;
+        let coeffs: Vec<f64> = pool
+            .par_map(&groups, 1, |group| block_dots(iterate, group))
+            .into_iter()
+            .flatten()
+            .take(dirs.len())
+            .collect();
+        pool.par_chunks_mut(w, SUB_BLOCK, |start, chunk| {
+            for (b, block) in chunk.chunks_mut(SUB_BLOCK).enumerate() {
+                subtract_block(block, start + b * SUB_BLOCK, dirs, &coeffs);
+            }
+        });
+    }
+}
+
+/// Dot products of `w` with up to [`DOT_BLOCK`] directions in one sweep
+/// (unused slots are 0). Each direction keeps its own accumulator, added
+/// to left to right, so every coefficient is bit-identical to
+/// `vector::dot(w, u)`.
+fn block_dots(w: &[f64], group: &[&[f64]]) -> [f64; DOT_BLOCK] {
+    let mut acc = [0.0f64; DOT_BLOCK];
+    match <&[&[f64]; DOT_BLOCK]>::try_from(group) {
+        Ok(full) => {
+            let u: [&[f64]; DOT_BLOCK] = std::array::from_fn(|d| &full[d][..w.len()]);
+            for (i, &wi) in w.iter().enumerate() {
+                for (a, ud) in acc.iter_mut().zip(&u) {
+                    *a += wi * ud[i];
+                }
+            }
+        }
+        Err(_) => {
+            for (a, u) in acc.iter_mut().zip(group) {
+                *a = vector::dot(w, u);
+            }
+        }
+    }
+    acc
+}
+
+/// `block ← block − Σ_d coeffs[d]·dirs[d]` on the element block that
+/// starts at `start`, four directions per sweep. Every element sees the
+/// rounded update `y + (−c)·u` of `vector::axpy(−c, u, w)` once per
+/// direction, in direction order.
+fn subtract_block(block: &mut [f64], start: usize, dirs: &[&[f64]], coeffs: &[f64]) {
+    let span = start..start + block.len();
+    let quads = dirs.len() - dirs.len() % 4;
+    for (u, c) in dirs[..quads].chunks_exact(4).zip(coeffs.chunks_exact(4)) {
+        let (a0, a1, a2, a3) = (-c[0], -c[1], -c[2], -c[3]);
+        let lanes = block
+            .iter_mut()
+            .zip(&u[0][span.clone()])
+            .zip(&u[1][span.clone()])
+            .zip(&u[2][span.clone()])
+            .zip(&u[3][span.clone()]);
+        for ((((y, x0), x1), x2), x3) in lanes {
+            *y = *y + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+        }
+    }
+    for (u, c) in dirs[quads..].iter().zip(&coeffs[quads..]) {
+        let a = -c;
+        for (y, x) in block.iter_mut().zip(&u[span.clone()]) {
+            *y += a * x;
         }
     }
 }
@@ -74,6 +185,17 @@ pub struct LanczosResult {
     /// True if the iteration terminated because the Krylov space became
     /// invariant (lucky breakdown) before reaching the requested size.
     pub breakdown: bool,
+    /// The last step's reorthogonalized residual, whose norm is the next
+    /// off-diagonal: where `extend` resumes. `None` once the run cannot
+    /// continue (breakdown, budget exhaustion or divergence).
+    resume: Option<Vec<f64>>,
+}
+
+/// How a stretch of the recurrence ended.
+enum Exit {
+    Done,
+    Diverged(DivergenceCause),
+    Exhausted(Exhaustion, f64),
 }
 
 impl LanczosResult {
@@ -85,18 +207,96 @@ impl LanczosResult {
     /// Ritz pairs: eigenvalues of `T_k` (ascending) and the corresponding
     /// Ritz vectors `V_k y` lifted back to `R^n`.
     pub fn ritz_pairs(&self) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
+        self.lowest_ritz_pairs(self.k())
+    }
+
+    /// The `m` smallest Ritz pairs (all of them if `m ≥ k`): one
+    /// `tridiag_eig`, but only the wanted vectors are lifted. Each vector
+    /// is lifted on its own, so it is bit-identical to its counterpart
+    /// from [`ritz_pairs`](Self::ritz_pairs).
+    fn lowest_ritz_pairs(&self, m: usize) -> Result<(Vec<f64>, Vec<Vec<f64>>)> {
         let t = tridiag_eig(&self.alpha, &self.beta)?;
-        let k = self.k();
+        let m = m.min(self.k());
         let n = self.basis.first().map_or(0, Vec::len);
-        let mut vecs = Vec::with_capacity(k);
-        for col in 0..k {
-            let mut v = vec![0.0; n];
-            for (j, basis_j) in self.basis.iter().enumerate() {
-                vector::axpy(t.eigenvectors[(j, col)], basis_j, &mut v);
-            }
-            vecs.push(v);
+        let vecs = (0..m)
+            .map(|col| {
+                let mut v = vec![0.0; n];
+                for (j, basis_j) in self.basis.iter().enumerate() {
+                    vector::axpy(t.eigenvectors[(j, col)], basis_j, &mut v);
+                }
+                v
+            })
+            .collect();
+        let mut vals = t.eigenvalues;
+        vals.truncate(m);
+        Ok((vals, vecs))
+    }
+
+    /// Continue the run to Krylov dimension `k` (clamped to `n`) on the
+    /// operator and deflation set it was started with. The new steps
+    /// perform exactly the arithmetic a fresh `k`-step run performs
+    /// there, so the result is bit-identical to one. A no-op once the
+    /// run has `k` steps or cannot continue (a breakdown stays one).
+    pub(crate) fn extend(&mut self, op: &dyn LinOp, k: usize, deflate: &[Vec<f64>]) {
+        match self.recur(op, k.min(op.dim()), deflate, &mut KernelCtx::new()) {
+            Exit::Done => {}
+            _ => unreachable!("an inert context can neither exhaust nor diverge"),
         }
-        Ok((t.eigenvalues, vecs))
+    }
+
+    /// Steps `self.k()..k` of the recurrence. Step `j > 0` first
+    /// normalizes the residual left by step `j − 1` into `q_j`, so a run
+    /// that stops at `k` steps leaves exactly the state a longer run
+    /// continues from.
+    fn recur(
+        &mut self,
+        op: &dyn LinOp,
+        k: usize,
+        deflate: &[Vec<f64>],
+        ctx: &mut KernelCtx,
+    ) -> Exit {
+        let Some(mut w) = self.resume.take() else {
+            return Exit::Done;
+        };
+        // CORE LOOP
+        for j in self.k()..k {
+            if j > 0 {
+                let b = vector::norm2(&w);
+                // The residual of the tridiagonalization *is* the off-diagonal.
+                ctx.push_residual(b);
+                if b < 1e-12 {
+                    self.breakdown = true;
+                    ctx.note_with(|| {
+                        format!("lucky breakdown at step {}: invariant subspace", j - 1)
+                    });
+                    return Exit::Done;
+                }
+                ctx.tick_iter();
+                if let Some(exhausted) = ctx.add_work(1) {
+                    return Exit::Exhausted(exhausted, b);
+                }
+                self.beta.push(b);
+                let mut next = w.clone();
+                vector::scale(1.0 / b, &mut next);
+                self.basis.push(next);
+            }
+            op.apply(&self.basis[j], &mut w);
+            if let GuardVerdict::Halt(cause) = ctx.check_iterate(&w, j) {
+                return Exit::Diverged(cause);
+            }
+            for u in deflate {
+                vector::deflate(&mut w, u);
+            }
+            let a_j = vector::dot(&self.basis[j], &w);
+            self.alpha.push(a_j);
+            vector::axpy(-a_j, &self.basis[j], &mut w);
+            if j > 0 {
+                vector::axpy(-self.beta[j - 1], &self.basis[j - 1], &mut w);
+            }
+            reorthogonalize(&mut w, deflate, &self.basis);
+        }
+        self.resume = Some(w);
+        Exit::Done
     }
 }
 
@@ -150,82 +350,25 @@ pub fn lanczos_ctx(
         ));
     }
 
-    enum Exit {
-        Done,
-        Diverged(DivergenceCause),
-        Exhausted(Exhaustion, f64),
-    }
-
-    let mut alpha = Vec::with_capacity(k);
-    let mut beta: Vec<f64> = Vec::with_capacity(k.saturating_sub(1));
-    let mut basis = vec![q.clone()];
-    let mut breakdown = false;
-    let mut w = vec![0.0; n];
-    let mut exit = Exit::Done;
-
-    // CORE LOOP
-    for j in 0..k {
-        op.apply(&basis[j], &mut w);
-        if let GuardVerdict::Halt(cause) = ctx.check_iterate(&w, j) {
-            exit = Exit::Diverged(cause);
-            break;
-        }
-        for u in deflate {
-            vector::deflate(&mut w, u);
-        }
-        let a_j = vector::dot(&basis[j], &w);
-        alpha.push(a_j);
-        vector::axpy(-a_j, &basis[j], &mut w);
-        if j > 0 {
-            vector::axpy(-beta[j - 1], &basis[j - 1], &mut w);
-        }
-        reorthogonalize(&mut w, deflate, &basis);
-        if j + 1 == k {
-            break;
-        }
-        let b_j = vector::norm2(&w);
-        // The residual of the tridiagonalization *is* the off-diagonal.
-        ctx.push_residual(b_j);
-        if b_j < 1e-12 {
-            breakdown = true;
-            ctx.note_with(|| format!("lucky breakdown at step {j}: invariant subspace"));
-            break;
-        }
-        ctx.tick_iter();
-        if let Some(exhausted) = ctx.add_work(1) {
-            exit = Exit::Exhausted(exhausted, b_j);
-            break;
-        }
-        beta.push(b_j);
-        let mut next = w.clone();
-        vector::scale(1.0 / b_j, &mut next);
-        basis.push(next);
-    }
-
+    let mut res = LanczosResult {
+        alpha: Vec::with_capacity(k),
+        beta: Vec::with_capacity(k.saturating_sub(1)),
+        basis: vec![q],
+        breakdown: false,
+        resume: Some(vec![0.0; n]),
+    };
+    let exit = res.recur(op, k, deflate, ctx);
     let diags = ctx.finish();
-    match exit {
-        Exit::Diverged(cause) => Ok(SolverOutcome::diverged(cause, diags)),
-        Exit::Exhausted(exhausted, b_j) => Ok(SolverOutcome::exhausted(
-            LanczosResult {
-                alpha,
-                beta,
-                basis,
-                breakdown: false,
-            },
+    Ok(match exit {
+        Exit::Diverged(cause) => SolverOutcome::diverged(cause, diags),
+        Exit::Exhausted(exhausted, b_j) => SolverOutcome::exhausted(
+            res,
             exhausted,
             Certificate::ResidualNorm { value: b_j },
             diags,
-        )),
-        Exit::Done => Ok(SolverOutcome::converged(
-            LanczosResult {
-                alpha,
-                beta,
-                basis,
-                breakdown,
-            },
-            diags,
-        )),
-    }
+        ),
+        Exit::Done => SolverOutcome::converged(res, diags),
+    })
 }
 
 /// Lanczos under an explicit resource [`Budget`], with contamination
@@ -278,15 +421,7 @@ pub fn smallest_eigenpairs_resilient(
     let outcome = policy.run(|attempt| {
         // A different deterministic seed per attempt: the LCG stream is
         // offset so retries explore a genuinely different direction.
-        let mut state = 0x9e3779b97f4a7c15u64 ^ ((attempt as u64) << 32 | 0x51_7cc1);
-        let v0: Vec<f64> = (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            })
-            .collect();
+        let v0 = lcg_start(n, START_SEED ^ ((attempt as u64) << 32 | 0x51_7cc1));
         let out = lanczos_budgeted(op, &v0, k, deflate, budget)?;
         // A collapsed Krylov space that cannot yield m pairs is a
         // breakdown worth retrying with a new seed.
@@ -307,29 +442,21 @@ pub fn smallest_eigenpairs_resilient(
 
     // Lift the surviving tridiagonalization to Ritz pairs.
     Ok(match outcome {
-        SolverOutcome::Converged { value, diagnostics } => {
-            let (vals, vecs) = value.ritz_pairs()?;
-            let take = m.min(vals.len());
-            SolverOutcome::Converged {
-                value: (vals[..take].to_vec(), vecs[..take].to_vec()),
-                diagnostics,
-            }
-        }
+        SolverOutcome::Converged { value, diagnostics } => SolverOutcome::Converged {
+            value: value.lowest_ritz_pairs(m)?,
+            diagnostics,
+        },
         SolverOutcome::BudgetExhausted {
             best_so_far,
             exhausted,
             certificate,
             diagnostics,
-        } => {
-            let (vals, vecs) = best_so_far.ritz_pairs()?;
-            let take = m.min(vals.len());
-            SolverOutcome::BudgetExhausted {
-                best_so_far: (vals[..take].to_vec(), vecs[..take].to_vec()),
-                exhausted,
-                certificate,
-                diagnostics,
-            }
-        }
+        } => SolverOutcome::BudgetExhausted {
+            best_so_far: best_so_far.lowest_ritz_pairs(m)?,
+            exhausted,
+            certificate,
+            diagnostics,
+        },
         SolverOutcome::Diverged {
             at_iter,
             cause,
@@ -359,21 +486,46 @@ pub fn smallest_eigenpairs(
         return Err(LinalgError::InvalidArgument("need 0 < m <= n"));
     }
     let k = krylov.max(3 * m).min(n);
-    // Deterministic pseudo-random seed: a fixed LCG keeps the library
-    // dependency-free here and the result reproducible.
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let v0: Vec<f64> = (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-        .collect();
-    let res = lanczos(op, &v0, k, deflate)?;
-    let (vals, vecs) = res.ritz_pairs()?;
-    let take = m.min(vals.len());
-    Ok((vals[..take].to_vec(), vecs[..take].to_vec()))
+    lanczos(op, &lcg_start(n, START_SEED), k, deflate)?.lowest_ritz_pairs(m)
+}
+
+/// The smallest eigenpair `(θ, v)` of a symmetric operator, deflating
+/// `deflate`, grown until its eigen-residual `‖op·v − θv‖₂` is below
+/// `tol`.
+///
+/// Starts like `smallest_eigenpairs(op, 1, krylov, deflate)` — same
+/// seed, Krylov dimension `krylov` clamped to `[3, n]` — and while the
+/// residual misses `tol`, doubles the dimension by *resuming* the run
+/// instead of restarting it. A resumed run is bit-identical to a fresh
+/// one, so each round returns exactly what `smallest_eigenpairs` would
+/// at that dimension, for the cost of the new steps only; and only the
+/// wanted Ritz vector is lifted. Gives up growing at dimension `n`: the
+/// pair returned from there may miss `tol`, so a caller that needs the
+/// bound re-checks it.
+pub fn smallest_eigenpair_adaptive(
+    op: &dyn LinOp,
+    krylov: usize,
+    deflate: &[Vec<f64>],
+    tol: f64,
+) -> Result<(f64, Vec<f64>)> {
+    let n = op.dim();
+    if n == 0 {
+        return Err(LinalgError::InvalidArgument("empty operator"));
+    }
+    let mut krylov = krylov.max(3).min(n);
+    let mut res = lanczos(op, &lcg_start(n, START_SEED), krylov, deflate)?;
+    let mut r = vec![0.0; n];
+    loop {
+        let (vals, mut vecs) = res.lowest_ritz_pairs(1)?;
+        let (theta, v) = (vals[0], vecs.swap_remove(0));
+        op.apply(&v, &mut r);
+        vector::axpy(-theta, &v, &mut r);
+        if vector::norm2(&r) < tol || krylov >= n {
+            return Ok((theta, v));
+        }
+        krylov = (krylov * 2).min(n);
+        res.extend(op, krylov, deflate);
+    }
 }
 
 /// Estimate the spectral interval `[λmin, λmax]` of a symmetric
@@ -387,16 +539,7 @@ pub fn spectral_interval(op: &dyn LinOp, k: usize) -> Result<(f64, f64)> {
     if n == 0 {
         return Err(LinalgError::InvalidArgument("empty operator"));
     }
-    let mut state = 0xdeadbeefcafef00du64;
-    let v0: Vec<f64> = (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        })
-        .collect();
-    let res = lanczos(op, &v0, k.max(2), &[])?;
+    let res = lanczos(op, &lcg_start(n, 0xdeadbeefcafef00d), k.max(2), &[])?;
     let te = tridiag_eig(&res.alpha, &res.beta)?;
     let lo = te.eigenvalues[0];
     let hi = *te.eigenvalues.last().unwrap();
@@ -411,6 +554,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
     use crate::sparse::CsrMatrix;
+    use proptest::prelude::*;
 
     /// Path-graph combinatorial Laplacian as CSR.
     fn path_laplacian(n: usize) -> CsrMatrix {
@@ -589,6 +733,151 @@ mod tests {
         for (k, v) in vals.iter().enumerate() {
             let expected = 2.0 - 2.0 * (std::f64::consts::PI * k as f64 / n as f64).cos();
             assert!((v - expected).abs() < 1e-7, "k={k}");
+        }
+    }
+
+    /// The one-direction-at-a-time sweep — a verbatim copy of the kernel
+    /// before blocking — kept as the bit-identity reference for
+    /// [`reorthogonalize`].
+    fn reorthogonalize_reference(w: &mut [f64], deflate: &[Vec<f64>], basis: &[Vec<f64>]) {
+        let dirs: Vec<&[f64]> = deflate
+            .iter()
+            .map(Vec::as_slice)
+            .chain(basis.iter().map(Vec::as_slice))
+            .collect();
+        let pool = if dirs.len() * w.len() < PAR_MIN_REORTH {
+            ExecPool::with_threads(1)
+        } else {
+            ExecPool::from_env()
+        };
+        for _ in 0..2 {
+            let coeffs = pool.par_map(&dirs, 1, |u| vector::dot(w, u));
+            for (u, c) in dirs.iter().zip(&coeffs) {
+                vector::axpy(-c, u, w);
+            }
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Deterministic pseudo-random entries in `[-1, 1)` from `seed`.
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        lcg_start(len, seed).into_iter().map(|x| 2.0 * x).collect()
+    }
+
+    /// A dense random symmetric operator of order `n`.
+    fn random_symmetric(n: usize, seed: u64) -> DenseMatrix {
+        let r = noise(n * n, seed);
+        DenseMatrix::from_fn(n, n, |i, j| 0.5 * (r[i * n + j] + r[j * n + i]))
+    }
+
+    fn assert_same_run(a: &LanczosResult, b: &LanczosResult) {
+        assert_eq!(bits(&a.alpha), bits(&b.alpha), "alpha");
+        assert_eq!(bits(&a.beta), bits(&b.beta), "beta");
+        assert_eq!(a.basis.len(), b.basis.len(), "basis length");
+        for (j, (u, v)) in a.basis.iter().zip(&b.basis).enumerate() {
+            assert_eq!(bits(u), bits(v), "basis[{j}]");
+        }
+        assert_eq!(a.breakdown, b.breakdown, "breakdown");
+    }
+
+    #[test]
+    fn blocked_reorthogonalization_matches_reference_across_the_parallel_cutoff() {
+        // (directions, length): below and above PAR_MIN_REORTH, with
+        // direction counts off the 8- and 4-blocking and lengths off
+        // the 256-element subtraction block.
+        for &(dirs, n) in &[(1, 7), (9, 300), (13, 2_600), (40, 1_500), (67, 777)] {
+            let basis: Vec<Vec<f64>> = (0..dirs).map(|d| noise(n, 11 + d as u64)).collect();
+            let deflate = vec![noise(n, 5)];
+            let w0 = noise(n, 3);
+            let mut want = w0.clone();
+            reorthogonalize_reference(&mut want, &deflate, &basis);
+            let mut got = w0.clone();
+            reorthogonalize(&mut got, &deflate, &basis);
+            assert_eq!(bits(&got), bits(&want), "dirs={dirs} n={n}");
+            // Any thread count gives the same bits.
+            let all: Vec<&[f64]> = deflate.iter().chain(&basis).map(Vec::as_slice).collect();
+            for threads in [1, 2, 3] {
+                let mut on = w0.clone();
+                reorthogonalize_on(&ExecPool::with_threads(threads), &mut on, &all);
+                assert_eq!(
+                    bits(&on),
+                    bits(&want),
+                    "dirs={dirs} n={n} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lucky_breakdown_survives_extension() {
+        // The seed spans two eigenvectors of a diagonal matrix: the
+        // Krylov space is 2-dimensional, whatever is asked for.
+        let a = DenseMatrix::from_diag(&[1.0, 2.0, 3.0, 4.0]);
+        let seed = [0.0, 1.0, 0.0, 1.0];
+        let fresh = lanczos(&a, &seed, 4, &[]).unwrap();
+        assert!(fresh.breakdown);
+        assert_eq!(fresh.k(), 2);
+        let mut grown = lanczos(&a, &seed, 1, &[]).unwrap();
+        assert!(!grown.breakdown);
+        grown.extend(&a, 4, &[]);
+        assert_same_run(&grown, &fresh);
+        // Once broken down, extending is a no-op that keeps the flag.
+        let before = grown.clone();
+        grown.extend(&a, 4, &[]);
+        assert_same_run(&grown, &before);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_blocked_reorthogonalization_is_bit_identical(
+            dirs in 0usize..40,
+            n in 1usize..600,
+            deflated in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let basis: Vec<Vec<f64>> =
+                (0..dirs).map(|d| noise(n, seed ^ (d as u64 + 1) << 20)).collect();
+            let deflate: Vec<Vec<f64>> =
+                (0..deflated).map(|d| noise(n, seed ^ (d as u64 + 101) << 20)).collect();
+            let w0 = noise(n, seed);
+            let mut want = w0.clone();
+            reorthogonalize_reference(&mut want, &deflate, &basis);
+            let mut got = w0;
+            reorthogonalize(&mut got, &deflate, &basis);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn prop_extended_run_equals_fresh_run(
+            n in 2usize..40,
+            k0 in 1usize..40,
+            k1 in 1usize..44,
+            with_deflation in 0usize..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = random_symmetric(n, seed);
+            let v0 = noise(n, seed + 7);
+            let deflate: Vec<Vec<f64>> = if with_deflation == 1 {
+                let mut u = noise(n, seed + 13);
+                vector::normalize2(&mut u);
+                vec![u]
+            } else {
+                vec![]
+            };
+            let (k0, k1) = (k0.min(k1), k0.max(k1));
+            let fresh = lanczos(&a, &v0, k1, &deflate).unwrap();
+            let mut grown = lanczos(&a, &v0, k0, &deflate).unwrap();
+            grown.extend(&a, k1, &deflate);
+            assert_same_run(&grown, &fresh);
+            // Extending in two hops lands on the same bits too.
+            let mut hops = lanczos(&a, &v0, k0, &deflate).unwrap();
+            hops.extend(&a, (k0 + k1) / 2, &deflate);
+            hops.extend(&a, k1, &deflate);
+            assert_same_run(&hops, &fresh);
         }
     }
 

@@ -19,12 +19,16 @@
 use crate::laplacian::{normalized_laplacian, trivial_eigenvector};
 use crate::{Result, SpectralError};
 use acir_graph::Graph;
-use acir_linalg::lanczos::{smallest_eigenpairs, smallest_eigenpairs_resilient};
+use acir_linalg::lanczos::{smallest_eigenpair_adaptive, smallest_eigenpairs_resilient};
 use acir_linalg::{vector, SymEig};
 use acir_runtime::{Budget, Certificate, DivergenceCause, RetryPolicy, SolverOutcome};
 
 /// Cutoff below which the dense Jacobi route is used.
 pub const DENSE_CUTOFF: usize = 384;
+
+/// Eigen-residual `‖𝓛v₂ − λ₂v₂‖₂` the Lanczos route grows its Krylov
+/// dimension until it meets.
+const LANCZOS_TOL: f64 = 1e-8;
 
 /// The exact leading nontrivial eigenpair of the normalized Laplacian.
 #[derive(Debug, Clone)]
@@ -55,22 +59,12 @@ pub fn fiedler_vector(g: &Graph) -> Result<FiedlerResult> {
     } else {
         // Adaptive Krylov dimension: small eigenvalues of 𝓛 can cluster
         // (e.g. long cycles), so start modest and grow until the
-        // eigenpair residual certifies convergence. The Krylov
-        // recurrence itself lives in `acir_linalg::lanczos`; this is
-        // only the restart-escalation wrapper around it.
+        // eigenpair residual certifies convergence. Both the Krylov
+        // recurrence and its growth live in `acir_linalg::lanczos`,
+        // which doubles the dimension by resuming one run.
         // CORE LOOP (delegated: the Krylov recurrence lives in acir-linalg)
-        let mut krylov = (4 * (g.n() as f64).ln() as usize + 40).min(g.n());
-        loop {
-            let (vals, vecs) = smallest_eigenpairs(&nl, 1, krylov, std::slice::from_ref(&v1))?;
-            let mut r = vec![0.0; g.n()];
-            nl.matvec(&vecs[0], &mut r);
-            vector::axpy(-vals[0], &vecs[0], &mut r);
-            let residual = vector::norm2(&r);
-            if residual < 1e-8 || krylov >= g.n() {
-                break (vals[0], vecs[0].clone());
-            }
-            krylov = (krylov * 2).min(g.n());
-        }
+        let krylov = (4 * (g.n() as f64).ln() as usize + 40).min(g.n());
+        smallest_eigenpair_adaptive(&nl, krylov, std::slice::from_ref(&v1), LANCZOS_TOL)?
     };
 
     // Clean up: remove any residual trivial component and renormalize.
@@ -224,6 +218,7 @@ mod tests {
     use super::*;
     use acir_graph::gen::deterministic::{barbell, complete, cycle, path};
     use acir_graph::Graph;
+    use acir_linalg::lanczos::{lanczos, smallest_eigenpairs};
 
     #[test]
     fn complete_graph_lambda2() {
@@ -296,6 +291,56 @@ mod tests {
             "{} vs {expected}",
             f.lambda2
         );
+    }
+
+    /// The fixed LCG start vector of `acir_linalg`'s eigenpair drivers.
+    fn lcg_start(n: usize) -> Vec<f64> {
+        let mut state = 0x9e3779b97f4a7c15u64;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanczos_route_matches_restart_from_scratch_escalation_bitwise() {
+        // The escalation as a fresh Lanczos run per Krylov dimension,
+        // built from the public `lanczos` + `ritz_pairs` only. The
+        // solver resumes one run instead, which must not change a bit.
+        // A long cycle's clustered low spectrum takes three rounds.
+        let g = cycle(DENSE_CUTOFF + 16).unwrap();
+        let n = g.n();
+        let nl = normalized_laplacian(&g);
+        let v1 = trivial_eigenvector(&g);
+        let v0 = lcg_start(n);
+        let mut krylov = (4 * (n as f64).ln() as usize + 40).min(n);
+        let mut rounds = 0;
+        let (lambda2, mut v2) = loop {
+            rounds += 1;
+            let res = lanczos(&nl, &v0, krylov.max(3), std::slice::from_ref(&v1)).unwrap();
+            let (vals, vecs) = res.ritz_pairs().unwrap();
+            let mut r = vec![0.0; n];
+            nl.matvec(&vecs[0], &mut r);
+            vector::axpy(-vals[0], &vecs[0], &mut r);
+            if vector::norm2(&r) < LANCZOS_TOL || krylov >= n {
+                break (vals[0], vecs[0].clone());
+            }
+            krylov = (krylov * 2).min(n);
+        };
+        vector::deflate(&mut v2, &v1);
+        vector::normalize2(&mut v2);
+        assert!(
+            rounds >= 2,
+            "only {rounds} round(s): the resume path is untested"
+        );
+        let f = fiedler_vector(&g).unwrap();
+        assert_eq!(f.lambda2.to_bits(), lambda2.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&f.vector), bits(&v2));
     }
 
     #[test]
