@@ -78,12 +78,23 @@ impl Graph {
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
+        Ok(Self::from_csr_parts(offsets, targets, weights))
+    }
 
+    /// Assemble a graph from finished CSR arrays, deriving the cached
+    /// degrees (each row summed in target order) and the total volume
+    /// (degrees summed in node order) exactly as [`Graph::from_edges`]
+    /// does. The caller guarantees the structural invariants.
+    pub(crate) fn from_csr_parts(
+        offsets: Vec<usize>,
+        targets: Vec<NodeId>,
+        weights: Vec<f64>,
+    ) -> Self {
+        let n = offsets.len() - 1;
         let degrees: Vec<f64> = (0..n)
             .map(|u| weights[offsets[u]..offsets[u + 1]].iter().sum())
             .collect();
         let total_volume = degrees.iter().sum();
-
         let g = Self {
             offsets,
             targets,
@@ -92,7 +103,13 @@ impl Graph {
             total_volume,
         };
         debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
-        Ok(g)
+        g
+    }
+
+    /// The raw CSR arrays `(offsets, targets, weights)`, for in-crate
+    /// row splicing.
+    pub(crate) fn csr_parts(&self) -> (&[usize], &[NodeId], &[f64]) {
+        (&self.offsets, &self.targets, &self.weights)
     }
 
     /// Build an unweighted graph (all weights 1.0) from node pairs.

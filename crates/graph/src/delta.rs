@@ -7,10 +7,12 @@
 //! **bit-compatible** with the CSR a fresh [`Graph::from_edges`] build
 //! of the edited edge list would produce (same targets, same weights,
 //! same degree sums in the same order). [`DeltaGraph::compact`]
-//! performs exactly that rebuild and emits a [`Permutation`] relabeling
-//! hook — the identity today, the seam through which a future
-//! compaction that drops or renumbers vertices plugs into the existing
-//! `map_back` plumbing.
+//! produces that same CSR by a row splice instead of a rebuild — the
+//! base's untouched rows are copied as slices and only overlaid rows
+//! are re-merged, an O(n + m) copy with no sort and the same bits —
+//! and emits a [`Permutation`] relabeling hook: the identity today,
+//! the seam through which a future compaction that drops or renumbers
+//! vertices plugs into the existing `map_back` plumbing.
 //!
 //! Snapshot semantics: the overlay is a *writer-side* structure. The
 //! borrowed base and every compacted CSR are immutable snapshots, so a
@@ -261,23 +263,55 @@ impl<'g> DeltaGraph<'g> {
         out
     }
 
-    /// Rebuild the CSR from the merged view and emit the relabeling
-    /// hook. The rebuilt graph is exactly `Graph::from_edges` of the
-    /// edited edge list — bit-identical to a fresh build — and the
-    /// permutation is the identity (the overlay neither adds nor drops
-    /// vertices); callers should still route results through it, so a
-    /// future compaction that renumbers vertices is a local change.
+    /// Materialize the merged view as a fresh CSR and emit the
+    /// relabeling hook, by a row splice: the base's CSR slices between
+    /// overlaid rows are copied with their offsets shifted, and each
+    /// overlaid row is written from the merged iterator — an O(n + m)
+    /// copy with no sort. Every degree is then re-summed from its row
+    /// and the total volume from the degrees, exactly as
+    /// `Graph::from_edges` sums them (the base's cached degrees are not
+    /// copied: after a relabeling [`Graph::permute`] they were summed
+    /// in the old row order and may differ in the last bit). The result
+    /// is therefore bit-identical to `Graph::from_edges` of the merged
+    /// edge list for any base whose arcs carry bitwise-symmetric
+    /// weights, as every `from_edges` build of a simple edge list and
+    /// every permutation of one does.
+    ///
+    /// The permutation is the identity (the overlay neither adds nor
+    /// drops vertices); callers should still route results through it,
+    /// so a future compaction that renumbers vertices is a local change.
     pub fn compact(&self) -> Result<(Graph, Permutation)> {
         let n = self.n();
-        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
-        for u in 0..n as NodeId {
-            for (v, w) in self.neighbors(u) {
-                if v >= u {
-                    edges.push((u, v, w));
-                }
+        let (base_offsets, base_targets, base_weights) = self.base.csr_parts();
+        let arcs = base_targets.len() + self.overlay.values().map(Vec::len).sum::<usize>();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(arcs);
+        let mut weights = Vec::with_capacity(arcs);
+        offsets.push(0);
+        let mut next = 0usize;
+        for u in self.overlay.keys().map(|&u| u as usize).chain([n]) {
+            // Base rows `next..u` verbatim, their offsets shifted.
+            let (start, end) = (base_offsets[next], base_offsets[u]);
+            let shift = targets.len();
+            targets.extend_from_slice(&base_targets[start..end]);
+            weights.extend_from_slice(&base_weights[start..end]);
+            offsets.extend(
+                base_offsets[next + 1..=u]
+                    .iter()
+                    .map(|&o| o - start + shift),
+            );
+            if u == n {
+                break;
             }
+            // The overlaid row itself, from the merged iterator.
+            for (v, w) in self.neighbors(u as NodeId) {
+                targets.push(v);
+                weights.push(w);
+            }
+            offsets.push(targets.len());
+            next = u + 1;
         }
-        let g = Graph::from_edges(n, edges)?;
+        let g = Graph::from_csr_parts(offsets, targets, weights);
         Ok((g, Permutation::identity(n)))
     }
 
@@ -377,6 +411,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::gen::deterministic::{barbell, cycle};
+    use proptest::prelude::*;
 
     fn bits(it: impl Iterator<Item = (NodeId, f64)>) -> Vec<(NodeId, u64)> {
         it.map(|(v, w)| (v, w.to_bits())).collect()
@@ -522,6 +557,99 @@ mod tests {
         assert!(d.delete_edge(9, 0).is_err());
         assert_eq!(d.version(), 0);
         assert!(!d.is_dirty());
+    }
+
+    /// `Graph::from_edges` of `dg`'s merged edge list (each edge once,
+    /// from its smaller endpoint): the reference `compact` must match.
+    fn rebuilt_from_merged_edges(dg: &DeltaGraph<'_>) -> Graph {
+        let n = dg.n();
+        let edges: Vec<(NodeId, NodeId, f64)> = (0..n as NodeId)
+            .flat_map(|u| {
+                dg.neighbors(u)
+                    .filter(move |&(v, _)| v >= u)
+                    .map(move |(v, w)| (u, v, w))
+            })
+            .collect();
+        Graph::from_edges(n, edges).unwrap()
+    }
+
+    /// Offsets, targets, weight bits, degree bits and volume bits.
+    fn assert_same_csr(a: &Graph, b: &Graph) {
+        let ((ao, at, aw), (bo, bt, bw)) = (a.csr_parts(), b.csr_parts());
+        assert_eq!(ao, bo);
+        assert_eq!(at, bt);
+        let wbits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(wbits(aw), wbits(bw));
+        assert_eq!(wbits(a.degrees()), wbits(b.degrees()));
+        assert_eq!(a.total_volume().to_bits(), b.total_volume().to_bits());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The row splice against a full rebuild, on the bases where a
+        /// shortcut would show: non-dyadic weights (so summation order
+        /// matters in the last bit) relabeled by `compact_ordered`,
+        /// whose `permute` keeps each degree as summed in the *old* row
+        /// order. Streams mix inserts, reweights and deletes, and every
+        /// case adds a self-loop and strips one node of all its edges.
+        #[test]
+        fn compact_matches_from_edges_on_relabeled_nondyadic_bases(
+            n in 6usize..48,
+            raw in collection::vec((0u32..1024, 0u32..1024, 0u32..777_777), 8..160),
+            degree_order in 0u8..2,
+            ops in collection::vec((0u8..3, 0u32..1024, 0u32..1024, 0u32..777_777), 1..24),
+            (looped, stripped) in (0u32..1024, 0u32..1024),
+        ) {
+            let weight = |k: u32| 0.1 + f64::from(k) / 777_777.0;
+            // A simple edge list: one weight per unordered pair.
+            let mut edges: BTreeMap<(NodeId, NodeId), f64> = BTreeMap::new();
+            for &(a, b, k) in &raw {
+                let (u, v) = (a % n as u32, b % n as u32);
+                edges.entry((u.min(v), u.max(v))).or_insert(weight(k));
+            }
+            let g0 = Graph::from_edges(n, edges.iter().map(|(&(u, v), &w)| (u, v, w))).unwrap();
+            let order = if degree_order == 1 {
+                crate::CompactionOrder::DegreeDescending
+            } else {
+                crate::CompactionOrder::Rcm
+            };
+            let (base, _) = crate::compact_ordered(&DeltaGraph::new(&g0), order).unwrap();
+            // An empty overlay already re-sums the relabeled degrees.
+            let (plain, _) = DeltaGraph::new(&base).compact().unwrap();
+            assert_same_csr(&plain, &Graph::from_edges(n, base.edges()).unwrap());
+
+            let mut dg = DeltaGraph::new(&base);
+            for &(kind, a, b, k) in &ops {
+                let u = a % n as u32;
+                let row: Vec<NodeId> = dg.neighbors(u).map(|(v, _)| v).collect();
+                match kind {
+                    // Insert a (possibly new) edge, self-loops included.
+                    0 => {
+                        dg.insert_edge(u, b % n as u32, weight(k)).unwrap();
+                    }
+                    // Reweight or delete an existing edge of `u`.
+                    _ if row.is_empty() => {}
+                    1 => {
+                        dg.insert_edge(u, row[b as usize % row.len()], weight(k)).unwrap();
+                    }
+                    _ => {
+                        dg.delete_edge(u, row[b as usize % row.len()]).unwrap();
+                    }
+                }
+            }
+            dg.insert_edge(looped % n as u32, looped % n as u32, weight(looped)).unwrap();
+            let x = stripped % n as u32;
+            let row: Vec<NodeId> = dg.neighbors(x).map(|(v, _)| v).collect();
+            for v in row {
+                dg.delete_edge(x, v).unwrap();
+            }
+            prop_assert_eq!(dg.neighbors(x).count(), 0);
+
+            let (compacted, perm) = dg.compact().unwrap();
+            prop_assert!(perm.is_identity());
+            assert_same_csr(&compacted, &rebuilt_from_merged_edges(&dg));
+        }
     }
 
     #[test]

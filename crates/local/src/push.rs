@@ -78,7 +78,8 @@ impl NodeValued for PushResult {
 }
 
 /// Reusable scratch for [`ppr_push`]: epoch-stamped `p`/`r` arrays, the
-/// queue-membership set, the work queue, and the touched-node list.
+/// queue-membership set, the work queue, and the touched-node list (plus
+/// the splice harvest's accumulator, unused by plain push).
 ///
 /// Resetting costs `O(1)`; a push run touching `k` nodes then does
 /// `O(k)` bookkeeping regardless of `n`. A warm workspace makes
@@ -95,6 +96,11 @@ pub struct PushWorkspace {
     /// (sorted during harvest; every node with `p > 0` or `r > 0` is
     /// here, because mass only ever arrives through `r`).
     pub(crate) touched: Vec<NodeId>,
+    /// The splice harvest's dense accumulator of the combined answer
+    /// (online estimate plus `r[h]`-scaled hub sketches).
+    pub(crate) acc: StampedVec,
+    /// Nodes `acc` holds a value for, in first-touch order.
+    pub(crate) support: Vec<NodeId>,
 }
 
 impl PushWorkspace {

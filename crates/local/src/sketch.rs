@@ -37,7 +37,7 @@ use crate::{LocalError, Result};
 use acir_graph::delta::EdgeDelta;
 use acir_graph::{Graph, NodeId, NodeValued, Permutation};
 use acir_runtime::{Certificate, KernelCtx, SolverOutcome};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Sentinel in [`SketchSet::slot`] marking a node with no sketch.
 const NO_SKETCH: u32 = u32::MAX;
@@ -61,6 +61,10 @@ pub struct HubSketch {
 
 /// An immutable set of hub sketches for one `(graph, α, ε_sketch)`
 /// triple, with O(1) hub-membership lookup for the splice loop.
+///
+/// Sketches are held behind [`Arc`], so a repair or an identity
+/// relabel carries an unchanged sketch into the successor set by
+/// sharing it rather than deep-copying its vectors.
 #[derive(Debug, Clone)]
 pub struct SketchSet {
     alpha: f64,
@@ -68,7 +72,7 @@ pub struct SketchSet {
     n: usize,
     /// Per-node sketch index, `NO_SKETCH` for non-hubs.
     slot: Vec<u32>,
-    sketches: Vec<HubSketch>,
+    sketches: Vec<Arc<HubSketch>>,
 }
 
 impl SketchSet {
@@ -117,13 +121,13 @@ impl SketchSet {
     /// The sketch diffusing from `u`, if `u` is a sketched hub.
     pub fn get(&self, u: NodeId) -> Option<&HubSketch> {
         match self.slot.get(u as usize) {
-            Some(&s) if s != NO_SKETCH => self.sketches.get(s as usize),
+            Some(&s) if s != NO_SKETCH => self.sketches.get(s as usize).map(Arc::as_ref),
             _ => None,
         }
     }
 
     /// All sketches, in hub-rank (degree-descending) order.
-    pub fn sketches(&self) -> &[HubSketch] {
+    pub fn sketches(&self) -> &[Arc<HubSketch>] {
         &self.sketches
     }
 
@@ -205,7 +209,8 @@ pub fn build_sketches_for_hubs(
 /// Hub ids, estimate/residual supports, and the hub-membership slots
 /// are re-laid-out; masses, push counts, and `(α, ε_sketch)` carry
 /// over bitwise — a relabeling permutes a diffusion, it does not
-/// change it. An identity `step` returns a verbatim clone.
+/// change it. An identity `step` returns a clone that shares every
+/// sketch with `set`.
 pub fn relabel_sketch_set(set: &SketchSet, step: &Permutation) -> Result<SketchSet> {
     if step.is_identity() {
         return Ok(set.clone());
@@ -218,20 +223,20 @@ pub fn relabel_sketch_set(set: &SketchSet, step: &Permutation) -> Result<SketchS
         )));
     }
     let mut slot = vec![NO_SKETCH; set.n];
-    let sketches: Vec<HubSketch> = set
+    let sketches: Vec<Arc<HubSketch>> = set
         .sketches
         .iter()
         .enumerate()
         .map(|(i, s)| {
             let hub = step.to_new(s.hub);
             slot[hub as usize] = i as u32;
-            HubSketch {
+            Arc::new(HubSketch {
                 hub,
                 estimate: step.map_sparse(&s.estimate),
                 residual: step.map_sparse(&s.residual),
                 residual_mass: s.residual_mass,
                 pushes: s.pushes,
-            }
+            })
         })
         .collect();
     Ok(SketchSet {
@@ -281,13 +286,13 @@ fn build_for_hub_list(
     for (hub, result) in hubs.into_iter().zip(pushed) {
         let r = result?;
         slot[hub as usize] = sketches.len() as u32;
-        sketches.push(HubSketch {
+        sketches.push(Arc::new(HubSketch {
             hub,
             estimate: r.vector,
             residual: r.residuals,
             residual_mass: r.residual_mass,
             pushes: r.pushes,
-        });
+        }));
     }
     ctx.note_with(|| {
         format!(
@@ -317,7 +322,8 @@ pub struct SketchRepair {
     /// repaired.
     pub repaired: usize,
     /// Sketches whose estimate and residual were both zero at every
-    /// delta endpoint: carried over verbatim at zero cost.
+    /// delta endpoint: carried over at zero cost, shared (not copied)
+    /// with the prior set.
     pub untouched: usize,
     /// Sketches the repair kernel recomputed from scratch (oversized
     /// perturbation or a degenerate column swap), plus hubs the delta
@@ -336,11 +342,12 @@ pub struct SketchRepair {
 /// A sketch can only be invalidated by the delta if its diffusion ever
 /// put estimate or residual mass on a delta endpoint (the changed
 /// columns of the walk matrix); everything else is carried over
-/// verbatim. Touched sketches go through [`ppr_repair`] with the hub as
-/// seed at the set's own `(α, ε_sketch)`, preserving the per-sketch ACL
-/// guarantee on the new graph. A hub the delta isolates entirely keeps
-/// its slot but becomes an empty sketch — no residual can ever park on
-/// a degree-0 node, so splices never consult it.
+/// verbatim, by sharing the prior set's [`Arc`]. Touched sketches go
+/// through [`ppr_repair`] with the hub as seed at the set's own
+/// `(α, ε_sketch)`, preserving the per-sketch ACL guarantee on the new
+/// graph. A hub the delta isolates entirely keeps its slot but becomes
+/// an empty sketch — no residual can ever park on a degree-0 node, so
+/// splices never consult it.
 ///
 /// Sketches are repaired in parallel over the ambient
 /// [`acir_exec::ExecPool`]; the result is identical at any thread
@@ -372,7 +379,7 @@ pub fn repair_hub_sketches(
     let outcomes = acir_exec::ExecPool::from_env().par_map(&idxs, 1, |&i| {
         let s = &set.sketches[i];
         if endpoints.is_empty() || !touches(s) {
-            return Ok::<(HubSketch, u8, usize), LocalError>((s.clone(), 0, 0));
+            return Ok::<(Arc<HubSketch>, u8, usize), LocalError>((Arc::clone(s), 0, 0));
         }
         if g.degree(s.hub) <= 0.0 {
             // The delta cut the hub loose: park an inert empty sketch.
@@ -383,7 +390,7 @@ pub fn repair_hub_sketches(
                 residual_mass: 0.0,
                 pushes: s.pushes,
             };
-            return Ok((empty, 2, 0));
+            return Ok((Arc::new(empty), 2, 0));
         }
         let rr = ppr_repair(
             g,
@@ -406,7 +413,7 @@ pub fn repair_hub_sketches(
             residual_mass: rr.residual_mass,
             pushes: s.pushes + rr.pushes,
         };
-        Ok((sketch, kind, work))
+        Ok((Arc::new(sketch), kind, work))
     });
 
     let mut sketches = Vec::with_capacity(set.len());
@@ -763,20 +770,25 @@ fn splice_core(
 
     // Harvest: ascending node order, like the push kernel. Non-hub
     // residuals stay unaccounted; hub residuals are substituted by
-    // their sketches below.
+    // their sketches below. The combined answer accumulates densely in
+    // `ws.acc`, each node taking its addends in ascending order of the
+    // touched node they come from — an order fixed by the graph, not by
+    // the accumulator — and the sorted support emits the positive sums
+    // in ascending node order.
     ws.touched.sort_unstable();
+    ws.acc.reset(n);
+    ws.support.clear();
     let mut touched = 0usize;
     let mut own_residual = 0.0f64;
     let mut worst_per_degree = 0.0f64;
     let mut hub_mass = 0.0f64;
     let mut hubs_spliced = 0usize;
     let mut sketch_slack = 0.0f64;
-    let mut combined: BTreeMap<NodeId, f64> = BTreeMap::new();
     for &u in &ws.touched {
         let p = ws.p.get(u as usize);
         let r = ws.r.get(u as usize);
-        if p > 0.0 {
-            *combined.entry(u).or_insert(0.0) += p;
+        if p > 0.0 && ws.acc.add(u as usize, p) {
+            ws.support.push(u);
         }
         if p > 0.0 || r > 0.0 {
             touched += 1;
@@ -787,7 +799,9 @@ fn splice_core(
                 hubs_spliced += 1;
                 sketch_slack += r * sketch.residual_mass;
                 for &(v, x) in &sketch.estimate {
-                    *combined.entry(v).or_insert(0.0) += r * x;
+                    if ws.acc.add(v as usize, r * x) {
+                        ws.support.push(v);
+                    }
                 }
             } else {
                 own_residual += r;
@@ -798,8 +812,13 @@ fn splice_core(
             }
         }
     }
-    out.vector
-        .extend(combined.into_iter().filter(|&(_, x)| x > 0.0));
+    ws.support.sort_unstable();
+    out.vector.extend(
+        ws.support
+            .iter()
+            .map(|&v| (v, ws.acc.get(v as usize)))
+            .filter(|&(_, x)| x > 0.0),
+    );
     let remaining = own_residual + sketch_slack;
     // Converged: every non-hub residual is < ε_push·d by the loop exit
     // condition. Exhausted: the frontier may still hold larger
@@ -834,16 +853,228 @@ fn splice_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::push::{ppr_exact_reference, ppr_push};
+    use crate::push::{ppr_exact_reference, ppr_push, PushWorkspace};
     use acir_graph::gen::deterministic::barbell;
-    use acir_graph::gen::random::barabasi_albert;
+    use acir_graph::gen::random::{barabasi_albert, forest_fire};
+    use acir_graph::traversal::largest_component;
+    use acir_graph::DeltaGraph;
     use acir_runtime::Budget;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn ba(n: usize, seed: u64) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
         barabasi_albert(&mut rng, n, 3).unwrap()
+    }
+
+    fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        std::env::set_var(acir_exec::THREADS_ENV, threads.to_string());
+        let out = f();
+        std::env::remove_var(acir_exec::THREADS_ENV);
+        out
+    }
+
+    /// A splice's combined answer and scalar accounting, as bits.
+    type SpliceBits = (Vec<(NodeId, u64)>, u64, usize, usize, u64);
+
+    fn splice_bits(s: &SpliceResult) -> SpliceBits {
+        (
+            s.vector.iter().map(|&(v, x)| (v, x.to_bits())).collect(),
+            s.residual_mass.to_bits(),
+            s.touched,
+            s.hubs_spliced,
+            s.hub_mass.to_bits(),
+        )
+    }
+
+    /// The harvest as it was first written — the combined answer merged
+    /// through a `BTreeMap`, one tree insert per addend — read off the
+    /// workspace that `splice_core`'s frontier loop left behind. The
+    /// dense harvest must reproduce it bit for bit.
+    fn btree_splice(
+        g: &Graph,
+        seeds: &[NodeId],
+        alpha: f64,
+        epsilon: f64,
+        set: &SketchSet,
+    ) -> SpliceBits {
+        let mut ws = PushWorkspace::new();
+        let mut out = SpliceResult::default();
+        let mut ctx = KernelCtx::new();
+        splice_core(g, seeds, alpha, epsilon, set, &mut ws, &mut out, &mut ctx).unwrap();
+        let mut touched = 0usize;
+        let mut own_residual = 0.0f64;
+        let mut hub_mass = 0.0f64;
+        let mut hubs_spliced = 0usize;
+        let mut sketch_slack = 0.0f64;
+        let mut combined: BTreeMap<NodeId, f64> = BTreeMap::new();
+        for &u in &ws.touched {
+            let p = ws.p.get(u as usize);
+            let r = ws.r.get(u as usize);
+            if p > 0.0 {
+                *combined.entry(u).or_insert(0.0) += p;
+            }
+            if p > 0.0 || r > 0.0 {
+                touched += 1;
+            }
+            if r > 0.0 {
+                if let Some(sketch) = set.get(u) {
+                    hub_mass += r;
+                    hubs_spliced += 1;
+                    sketch_slack += r * sketch.residual_mass;
+                    for &(v, x) in &sketch.estimate {
+                        *combined.entry(v).or_insert(0.0) += r * x;
+                    }
+                } else {
+                    own_residual += r;
+                }
+            }
+        }
+        (
+            combined
+                .into_iter()
+                .filter(|&(_, x)| x > 0.0)
+                .map(|(v, x)| (v, x.to_bits()))
+                .collect(),
+            (own_residual + sketch_slack).to_bits(),
+            touched,
+            hubs_spliced,
+            hub_mass.to_bits(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The dense harvest against the `BTreeMap` one, over random
+        /// Barabási–Albert and forest-fire graphs, seeds drawn from
+        /// the hubs themselves or at random, sketch sets built at 1 and
+        /// 4 threads, and — half the time — sketches repaired across a
+        /// delta, whose signed estimates exercise the `x > 0.0` filter.
+        #[test]
+        fn dense_harvest_matches_btree_harvest(
+            n in 60usize..260,
+            gen_seed in 0u64..1_000_000,
+            hubs in 4usize..40,
+            seed_sels in collection::vec(0u32..4096, 1..4),
+            (on_hubs, eps_sel, repaired) in (0u8..2, 0u8..3, 0u8..2),
+            (a, b) in (0u32..4096, 0u32..4096),
+        ) {
+            let mut rng = StdRng::seed_from_u64(gen_seed);
+            let g = if gen_seed % 2 == 0 {
+                barabasi_albert(&mut rng, n, 3).unwrap()
+            } else {
+                largest_component(&forest_fire(&mut rng, n, 0.35).unwrap()).0
+            };
+            let alpha = 0.1;
+            let epsilon = [1e-3, 3e-4, 1e-4][eps_sel as usize];
+            let build = || build_hub_sketches(&g, hubs, alpha, epsilon / 8.0).unwrap();
+            let (set1, set4) = (with_threads(1, build), with_threads(4, build));
+            let (g, sets) = if repaired == 1 {
+                // Join two nodes and cut one edge of the first.
+                let m = g.n() as NodeId;
+                let (u, v) = (a % m, b % m);
+                let mut dg = DeltaGraph::new(&g);
+                if u != v {
+                    dg.insert_edge(u, v, 1.5).unwrap();
+                }
+                let cut: Vec<NodeId> = dg.neighbors(u).map(|(w, _)| w).filter(|&w| w != v).collect();
+                if let Some(&w) = cut.first() {
+                    if dg.degree(w) > 1.0 {
+                        dg.delete_edge(u, w).unwrap();
+                    }
+                }
+                let delta = dg.net_delta();
+                let (g2, _) = dg.compact().unwrap();
+                let rep1 = with_threads(1, || repair_hub_sketches(&g2, &set1, &delta).unwrap());
+                let rep4 = with_threads(4, || repair_hub_sketches(&g2, &set4, &delta).unwrap());
+                (g2, [rep1.set, rep4.set])
+            } else {
+                (g, [set1, set4])
+            };
+            let m = g.n() as u32;
+            let seeds: Vec<NodeId> = seed_sels
+                .iter()
+                .map(|&s| {
+                    if on_hubs == 1 {
+                        sets[0].sketches()[s as usize % sets[0].len()].hub
+                    } else {
+                        s % m
+                    }
+                })
+                .filter(|&u| g.degree(u) > 0.0)
+                .collect();
+            prop_assume!(!seeds.is_empty());
+            let first = ppr_push_spliced(&g, &seeds, alpha, epsilon, &sets[0]).unwrap();
+            prop_assert!(first.used_sketches);
+            for set in &sets {
+                let spliced = ppr_push_spliced(&g, &seeds, alpha, epsilon, set).unwrap();
+                let reference = btree_splice(&g, &seeds, alpha, epsilon, set);
+                prop_assert_eq!(splice_bits(&spliced), reference);
+                prop_assert_eq!(splice_bits(&spliced), splice_bits(&first));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_harvest_matches_btree_harvest_on_overlapping_supports() {
+        // Many hubs at a fine ε_sketch on a small graph: the spliced
+        // sketches' estimate supports overlap heavily, so most nodes of
+        // the answer receive several addends.
+        let g = ba(400, 17);
+        let set = build_hub_sketches(&g, 48, 0.1, 1e-5).unwrap();
+        let plain = (0..400).filter(|&u| !set.covers(u)).step_by(97);
+        for seed in plain.chain([set.sketches()[3].hub]) {
+            let spliced = ppr_push_spliced(&g, &[seed], 0.1, 1e-4, &set).unwrap();
+            assert!(spliced.hubs_spliced >= 2 || set.covers(seed), "seed {seed}");
+            let mut cover: BTreeMap<NodeId, usize> = BTreeMap::new();
+            for s in set.sketches().iter().filter(|s| s.hub != seed) {
+                for &(v, _) in &s.estimate {
+                    *cover.entry(v).or_insert(0) += 1;
+                }
+            }
+            assert!(cover.values().any(|&c| c >= 2));
+            assert_eq!(
+                splice_bits(&spliced),
+                btree_splice(&g, &[seed], 0.1, 1e-4, &set),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn repair_and_identity_relabel_share_unchanged_sketches() {
+        let g_old = barbell(8, 30).unwrap();
+        let set = build_hub_sketches(&g_old, 6, 0.2, 1e-4).unwrap();
+        let mut dg = DeltaGraph::new(&g_old);
+        dg.insert_edge(0, 3, 4.0).unwrap();
+        let delta = dg.net_delta();
+        let (g_new, _) = dg.compact().unwrap();
+        let rep = repair_hub_sketches(&g_new, &set, &delta).unwrap();
+        assert!(rep.untouched > 0 && rep.repaired + rep.fallbacks > 0);
+        let shared = rep
+            .set
+            .sketches()
+            .iter()
+            .zip(set.sketches())
+            .filter(|(r, p)| Arc::ptr_eq(r, p))
+            .count();
+        assert_eq!(shared, rep.untouched);
+        // An identity relabel shares every sketch; a real one none.
+        let same = relabel_sketch_set(&set, &Permutation::identity(g_old.n())).unwrap();
+        assert!(same
+            .sketches()
+            .iter()
+            .zip(set.sketches())
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let moved = relabel_sketch_set(&set, &Permutation::rcm(&g_old)).unwrap();
+        assert!(moved
+            .sketches()
+            .iter()
+            .zip(set.sketches())
+            .all(|(a, b)| !Arc::ptr_eq(a, b)));
     }
 
     #[test]
